@@ -252,6 +252,56 @@ mod tests {
         assert!(vecops::all_finite(&g1));
     }
 
+    /// `(bits of coordinates 0, d/2, d−1; wrapping sum of every bit pattern)`
+    /// — enough to pin an upload bit for bit.
+    fn fingerprint(up: &[f32]) -> ([u32; 3], u64) {
+        let d = up.len();
+        let sum = up.iter().fold(0u64, |acc, x| acc.wrapping_add(x.to_bits() as u64));
+        ([up[0].to_bits(), up[d / 2].to_bits(), up[d - 1].to_bits()], sum)
+    }
+
+    fn golden_params(d: usize) -> Vec<f32> {
+        (0..d).map(|i| ((i % 7) as f32 - 3.0) * 0.01).collect()
+    }
+
+    fn golden_uploads(reset: MomentumReset) -> Vec<([u32; 3], u64)> {
+        let mut rng = StdRng::seed_from_u64(0);
+        let model = zoo::mlp(&mut rng, 784, 8, 10);
+        let data = SyntheticSpec::mnist_like().generate(64, 5);
+        let cfg = DpSgdConfig { momentum_reset: reset, ..Default::default() };
+        let mut w = DpWorker::new(model, data, cfg, 11);
+        let params = golden_params(w.param_len());
+        (0..3).map(|_| fingerprint(&w.local_step(&params))).collect()
+    }
+
+    #[test]
+    fn golden_uploads_paper_reset() {
+        let want = vec![
+            ([3171732991, 1025641073, 3184688949], 13309266637552),
+            ([3143815903, 3172270020, 3182710848], 13350893605739),
+            ([3171251869, 1031545718, 995123349], 13395332992010),
+        ];
+        assert_eq!(golden_uploads(MomentumReset::PaperReset), want);
+    }
+
+    #[test]
+    fn golden_uploads_keep() {
+        let want = vec![
+            ([3171732991, 1025641073, 3184688949], 13309266637552),
+            ([3131930855, 3172960398, 3182599607], 13351123012892),
+            ([3171256690, 1032103038, 3145346688], 13418830502011),
+        ];
+        assert_eq!(golden_uploads(MomentumReset::Keep), want);
+    }
+
+    #[test]
+    fn golden_clipped_upload() {
+        let mut w = worker(0.79, 12);
+        let params = golden_params(w.param_len());
+        let want = ([3173225427, 3166496410, 1032508863], 13281166150718);
+        assert_eq!(fingerprint(&w.clipped_dp_step(&params, 0.5)), want);
+    }
+
     #[test]
     fn clipped_step_bounds_signal() {
         let mut a = worker(0.0, 10); // no noise: observe pure clipped signal
