@@ -9,7 +9,14 @@
 //!    bound that replaces DP-SGD's clipping), sums them, adds `N(0, σ²I)`,
 //!    and scales by `1/b_c`;
 //! 5. uploads the result and resets the momentum list to the noisy upload
-//!    (line 11 as written; see [`MomentumReset`]).
+//!    (line 11 as written; see [`MomentumReset`]). After that reset every
+//!    slot holds the same vector, so under `PaperReset` the worker keeps a
+//!    single `d`-vector for the whole list (resident state `1·d`); only
+//!    `Keep` holds `b_c` slots (`b_c·d`).
+//!
+//! Steps 3 and 4 run as one loop over the batch: slot `j` is formed in the
+//! gradient buffer, its norm accumulates in the same pass, and it is folded
+//! into the sum before the next example's gradient overwrites it.
 //!
 //! A Byzantine *label-flipping* worker is exactly this worker run on poisoned
 //! data — it follows the protocol, so its uploads pass the first-stage tests
@@ -18,7 +25,7 @@
 use crate::config::{DpSgdConfig, MomentumReset};
 use dpbfl_data::{sample_batch, Dataset};
 use dpbfl_nn::{CrossEntropyLoss, Sequential};
-use dpbfl_stats::normal::standard_normal_sample;
+use dpbfl_stats::normal::{fill_standard_normal, NORMAL_CHUNK};
 use dpbfl_tensor::vecops;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -29,15 +36,18 @@ pub struct DpWorker {
     model: Sequential,
     data: Dataset,
     cfg: DpSgdConfig,
-    /// Momentum list `φ`: one `d`-dimensional slot per batch position.
+    /// Momentum list `φ`: one `d`-dimensional slot per batch position under
+    /// [`MomentumReset::Keep`]; a single slot standing for all `b_c` of them
+    /// under [`MomentumReset::PaperReset`], whose line 11 makes them equal.
     momentum: Vec<Vec<f32>>,
     rng: StdRng,
     loss_fn: CrossEntropyLoss,
-    /// Scratch per-example gradient buffer.
+    /// Scratch per-example gradient buffer; `local_step` forms each momentum
+    /// slot in it.
     grad_buf: Vec<f32>,
-    /// Scratch f64 accumulator for the normalized-momentum sum, reused
-    /// across iterations so the rayon hot loop allocates only the returned
-    /// upload.
+    /// Scratch f64 accumulator for the sum of normalized momentum slots
+    /// (each folded in as soon as it is formed), reused across iterations so
+    /// the rayon hot loop allocates only the returned upload.
     sum_buf: Vec<f64>,
 }
 
@@ -58,7 +68,11 @@ impl DpWorker {
             cfg.batch_size
         );
         let d = model.param_len();
-        let momentum = vec![vec![0.0f32; d]; cfg.batch_size];
+        let slots = match cfg.momentum_reset {
+            MomentumReset::PaperReset => 1,
+            MomentumReset::Keep => cfg.batch_size,
+        };
+        let momentum = vec![vec![0.0f32; d]; slots];
         DpWorker {
             model,
             data,
@@ -90,42 +104,38 @@ impl DpWorker {
         let b_c = self.cfg.batch_size;
         let batch = sample_batch(&mut self.rng, self.data.len(), b_c);
 
-        // Lines 6–9: per-example gradients into per-slot momentum.
+        // Lines 6–9 and the normalized sum of line 10, one slot at a time.
         let beta = self.cfg.momentum;
+        let keep = self.cfg.momentum_reset == MomentumReset::Keep;
+        self.sum_buf.fill(0.0);
         for (j, &idx) in batch.iter().enumerate() {
             let x = self.data.example(idx);
             let y = self.data.label(idx);
             self.model.example_gradient(&self.loss_fn, x, y, &mut self.grad_buf);
-            let slot = &mut self.momentum[j];
-            for (m, &g) in slot.iter_mut().zip(&self.grad_buf) {
-                *m = (1.0 - beta) * g + beta * *m;
+            // φ[j] ← (1−β)·g + β·φ[j], formed over g in place; its squared
+            // norm accumulates in `vecops::l2_norm`'s order.
+            let prev = &mut self.momentum[if keep { j } else { 0 }];
+            let mut norm_sq = 0.0f64;
+            for (m, &p) in self.grad_buf.iter_mut().zip(prev.iter()) {
+                *m = (1.0 - beta) * *m + beta * p;
+                norm_sq += (*m as f64) * (*m as f64);
             }
-        }
-
-        // Line 10: sum of normalized slots + Gaussian noise, scaled by 1/b_c.
-        self.sum_buf.fill(0.0);
-        for slot in &self.momentum {
-            let norm = vecops::l2_norm(slot);
+            let norm = norm_sq.sqrt();
             if norm > 0.0 {
                 let inv = 1.0 / norm;
-                for (u, &m) in self.sum_buf.iter_mut().zip(slot) {
+                for (u, &m) in self.sum_buf.iter_mut().zip(&self.grad_buf) {
                     *u += m as f64 * inv;
                 }
             }
+            if keep {
+                prev.copy_from_slice(&self.grad_buf);
+            }
         }
-        let sigma = self.cfg.noise_multiplier;
-        let inv_bc = 1.0 / b_c as f64;
-        let mut out = vec![0.0f32; d];
-        for (o, &u) in out.iter_mut().zip(&self.sum_buf) {
-            let noise = standard_normal_sample(&mut self.rng) * sigma;
-            *o = ((u + noise) * inv_bc) as f32;
-        }
+        let out = noisy_mean(&mut self.rng, &self.sum_buf, self.cfg.noise_multiplier, b_c);
 
         // Line 11: reset momentum slots to the uploaded (noisy) gradient.
-        if self.cfg.momentum_reset == MomentumReset::PaperReset {
-            for slot in &mut self.momentum {
-                slot.copy_from_slice(&out);
-            }
+        if !keep {
+            self.momentum[0].copy_from_slice(&out);
         }
         out
     }
@@ -147,7 +157,6 @@ impl DpWorker {
     /// `N(0, (σ·C)² I)`, averaged over the batch. No momentum.
     pub fn clipped_dp_step(&mut self, params: &[f32], clip_norm: f64) -> Vec<f32> {
         self.model.set_params(params);
-        let d = self.model.param_len();
         let b_c = self.cfg.batch_size;
         let batch = sample_batch(&mut self.rng, self.data.len(), b_c);
         self.sum_buf.fill(0.0);
@@ -160,14 +169,24 @@ impl DpWorker {
                 *s += g as f64;
             }
         }
-        let noise_std = self.cfg.noise_multiplier * clip_norm;
-        let inv_bc = 1.0 / b_c as f64;
-        let mut out = vec![0.0f32; d];
-        for (o, &s) in out.iter_mut().zip(&self.sum_buf) {
-            *o = ((s + standard_normal_sample(&mut self.rng) * noise_std) * inv_bc) as f32;
-        }
-        out
+        noisy_mean(&mut self.rng, &self.sum_buf, self.cfg.noise_multiplier * clip_norm, b_c)
     }
+}
+
+/// `(sum + N(0, std²I)) / b_c` rounded to `f32`: the noise and scaling of
+/// Algorithm 1 line 10, one normal per coordinate in ascending order.
+fn noisy_mean(rng: &mut StdRng, sum: &[f64], std: f64, b_c: usize) -> Vec<f32> {
+    let inv_bc = 1.0 / b_c as f64;
+    let mut out = vec![0.0f32; sum.len()];
+    let mut z = [0.0f64; NORMAL_CHUNK];
+    for (o, s) in out.chunks_mut(NORMAL_CHUNK).zip(sum.chunks(NORMAL_CHUNK)) {
+        let z = &mut z[..o.len()];
+        fill_standard_normal(rng, z);
+        for ((o, &s), &z) in o.iter_mut().zip(s).zip(z.iter()) {
+            *o = ((s + z * std) * inv_bc) as f32;
+        }
+    }
+    out
 }
 
 #[cfg(test)]
@@ -253,7 +272,8 @@ mod tests {
     }
 
     /// `(bits of coordinates 0, d/2, d−1; wrapping sum of every bit pattern)`
-    /// — enough to pin an upload bit for bit.
+    /// — enough to pin an upload bit for bit. The pins below change only with
+    /// a deliberate arithmetic or RNG-stream break, which must re-pin them.
     fn fingerprint(up: &[f32]) -> ([u32; 3], u64) {
         let d = up.len();
         let sum = up.iter().fold(0u64, |acc, x| acc.wrapping_add(x.to_bits() as u64));

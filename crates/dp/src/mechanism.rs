@@ -1,6 +1,6 @@
 //! The Gaussian mechanism (paper Definition 2).
 
-use dpbfl_stats::normal::fill_gaussian;
+use dpbfl_stats::normal::{fill_gaussian, fill_standard_normal, NORMAL_CHUNK};
 use rand::Rng;
 
 /// Gaussian mechanism: adds `N(0, (σ·Δ)² I)` noise to a vector-valued query
@@ -37,8 +37,13 @@ impl GaussianMechanism {
         if std == 0.0 {
             return;
         }
-        for x in value.iter_mut() {
-            *x += (dpbfl_stats::normal::standard_normal_sample(rng) * std) as f32;
+        let mut z = [0.0f64; NORMAL_CHUNK];
+        for chunk in value.chunks_mut(NORMAL_CHUNK) {
+            let z = &mut z[..chunk.len()];
+            fill_standard_normal(rng, z);
+            for (x, &z) in chunk.iter_mut().zip(z.iter()) {
+                *x += (z * std) as f32;
+            }
         }
     }
 

@@ -24,6 +24,14 @@ pub trait Layer {
     /// to the input.
     fn backward(&mut self, grad_output: &[f32]) -> Vec<f32>;
 
+    /// [`Layer::backward`] without the input gradient: accumulates exactly
+    /// the same parameter gradients. A model's first layer has no consumer
+    /// for its input gradient, so layers whose input gradient costs real
+    /// work (a `Linear`'s `Wᵀ·dy`) override this to skip it.
+    fn backward_params(&mut self, grad_output: &[f32]) {
+        self.backward(grad_output);
+    }
+
     /// Batched forward over `batch` examples packed back to back in `input`
     /// (`batch · input_len()` values); returns `batch · output_len()` values
     /// and caches what [`Layer::backward_batch`] needs.
@@ -104,6 +112,9 @@ impl Layer for AnyLayer {
     }
     fn backward(&mut self, grad_output: &[f32]) -> Vec<f32> {
         delegate!(self, backward, grad_output)
+    }
+    fn backward_params(&mut self, grad_output: &[f32]) {
+        delegate!(self, backward_params, grad_output)
     }
     fn forward_batch(&mut self, input: &[f32], batch: usize) -> Vec<f32> {
         delegate!(self, forward_batch, input, batch)

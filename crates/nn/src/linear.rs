@@ -2,7 +2,7 @@
 
 use crate::init::kaiming_uniform;
 use crate::layer::Layer;
-use dpbfl_tensor::matmul::{gemm, gemm_nt, gemm_tn_accumulate, ger, matvec, matvec_transposed};
+use dpbfl_tensor::matmul::{gemm, gemm_nt, gemm_tn_accumulate, ger, matvec_transposed};
 use rand::Rng;
 
 /// `y = W x + b` with `W: [out × in]` row-major.
@@ -54,7 +54,9 @@ impl Layer for Linear {
         self.cached_input.extend_from_slice(input);
         let mut out = self.bias.clone();
         let mut tmp = vec![0.0f32; self.out_dim];
-        matvec(&self.weight, input, &mut tmp, self.out_dim, self.in_dim);
+        // `W·x` as a one-row `gemm_nt`: the same ascending dot per output as
+        // `matvec`, but four weight rows in flight.
+        gemm_nt(input, &self.weight, &mut tmp, 1, self.in_dim, self.out_dim);
         for (o, t) in out.iter_mut().zip(&tmp) {
             *o += t;
         }
@@ -62,16 +64,20 @@ impl Layer for Linear {
     }
 
     fn backward(&mut self, grad_output: &[f32]) -> Vec<f32> {
+        // dW += dy ⊗ x, db += dy, dx = Wᵀ dy.
+        self.backward_params(grad_output);
+        let mut grad_in = vec![0.0f32; self.in_dim];
+        matvec_transposed(&self.weight, grad_output, &mut grad_in, self.out_dim, self.in_dim);
+        grad_in
+    }
+
+    fn backward_params(&mut self, grad_output: &[f32]) {
         assert_eq!(grad_output.len(), self.out_dim, "Linear: bad grad length");
         assert_eq!(self.cached_input.len(), self.in_dim, "Linear: backward before forward");
-        // dW += dy ⊗ x, db += dy, dx = Wᵀ dy.
         ger(1.0, grad_output, &self.cached_input, &mut self.grad_weight, self.out_dim, self.in_dim);
         for (gb, &g) in self.grad_bias.iter_mut().zip(grad_output) {
             *gb += g;
         }
-        let mut grad_in = vec![0.0f32; self.in_dim];
-        matvec_transposed(&self.weight, grad_output, &mut grad_in, self.out_dim, self.in_dim);
-        grad_in
     }
 
     fn forward_batch(&mut self, input: &[f32], batch: usize) -> Vec<f32> {

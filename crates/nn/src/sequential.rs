@@ -156,7 +156,10 @@ impl Sequential {
     /// `grad_out`. Returns the loss.
     ///
     /// This is the exact quantity `g_j ← ∇f(x_j ∈ d_i; w^{t−1})` of
-    /// Algorithm 1 line 7.
+    /// Algorithm 1 line 7. The first layer runs
+    /// [`Layer::backward_params`]: nothing consumes the input gradient, and
+    /// the parameter gradients are bit-identical to a full
+    /// [`Sequential::backward`].
     pub fn example_gradient(
         &mut self,
         loss_fn: &CrossEntropyLoss,
@@ -166,8 +169,12 @@ impl Sequential {
     ) -> f64 {
         self.zero_grads();
         let logits = self.forward(x);
-        let (loss, grad_logits) = loss_fn.loss_and_grad(&logits, label);
-        self.backward(&grad_logits);
+        let (loss, mut g) = loss_fn.loss_and_grad(&logits, label);
+        let (first, rest) = self.layers.split_first_mut().expect("non-empty");
+        for layer in rest.iter_mut().rev() {
+            g = layer.backward(&g);
+        }
+        first.backward_params(&g);
         self.write_grads_into(grad_out);
         loss
     }
@@ -246,6 +253,7 @@ mod tests {
     use super::*;
     use crate::activation::Elu;
     use crate::linear::Linear;
+    use crate::zoo;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -309,6 +317,36 @@ mod tests {
             };
             let fd = (up - down) / (2.0 * eps as f64);
             assert!((fd - grad[i] as f64).abs() < 2e-3, "param {i}: fd={fd} got={}", grad[i]);
+        }
+    }
+
+    #[test]
+    fn example_gradient_is_bitwise_the_full_backward() {
+        // Mlp784 overrides `backward_params` on its `Linear` first layer; the
+        // two CNNs start with a `Conv2d` and take the trait default.
+        let mut rng = StdRng::seed_from_u64(21);
+        let models = [
+            (zoo::mlp_784(&mut rng), 784),
+            (zoo::mnist_cnn(&mut rng), 784),
+            (zoo::colorectal_cnn(&mut rng), 3 * 32 * 32),
+        ];
+        let loss_fn = CrossEntropyLoss;
+        for (mut m, in_len) in models {
+            let x: Vec<f32> = (0..in_len).map(|i| ((i * 37 % 101) as f32 - 50.0) * 0.01).collect();
+            let label = 3;
+            let mut got = vec![0.0f32; m.param_len()];
+            let loss = m.example_gradient(&loss_fn, &x, label, &mut got);
+
+            m.zero_grads();
+            let logits = m.forward(&x);
+            let (want_loss, grad_logits) = loss_fn.loss_and_grad(&logits, label);
+            m.backward(&grad_logits);
+            let mut want = vec![0.0f32; m.param_len()];
+            m.write_grads_into(&mut want);
+
+            assert_eq!(loss.to_bits(), want_loss.to_bits());
+            let bits = |v: &[f32]| v.iter().map(|g| g.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "model with d = {}", m.param_len());
         }
     }
 

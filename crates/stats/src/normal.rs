@@ -140,14 +140,51 @@ pub fn standard_normal_sample<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     }
 }
 
+/// Stack chunk of [`fill_standard_normal`], and the natural chunk for
+/// callers that stage samples in a `[f64; NORMAL_CHUNK]` before using them.
+pub const NORMAL_CHUNK: usize = 256;
+
+/// Fills `out` with standard normal samples, bit-identical to — and leaving
+/// `rng` exactly where — `out.len()` calls of [`standard_normal_sample`]
+/// would.
+///
+/// Runs in two phases per [`NORMAL_CHUNK`]: a branchless rejection loop
+/// that makes the same `gen_range` draws and stores every accepted `(u, s)`
+/// pair, then a tight loop evaluating `u·√(−2 ln s / s)`. Splitting them
+/// takes the unpredictable accept branch out of the transcendental loop.
+pub fn fill_standard_normal<R: Rng + ?Sized>(rng: &mut R, out: &mut [f64]) {
+    let mut us = [0.0f64; NORMAL_CHUNK];
+    let mut ss = [0.0f64; NORMAL_CHUNK];
+    for chunk in out.chunks_mut(NORMAL_CHUNK) {
+        let n = chunk.len();
+        let mut k = 0;
+        while k < n {
+            let u: f64 = rng.gen_range(-1.0..1.0);
+            let v: f64 = rng.gen_range(-1.0..1.0);
+            let s = u * u + v * v;
+            us[k] = u;
+            ss[k] = s;
+            k += (s > 0.0 && s < 1.0) as usize;
+        }
+        for ((z, &u), &s) in chunk.iter_mut().zip(&us[..n]).zip(&ss[..n]) {
+            *z = u * (-2.0 * s.ln() / s).sqrt();
+        }
+    }
+}
+
 /// Fills `out` with i.i.d. `N(0, std²)` samples in `f32` precision.
 ///
 /// This is the exact operation of the paper's Algorithm 1 line 10
 /// (`N(0, σ²I)` added to the sum of normalized momentum slots) and of the
 /// Gaussian attack (which uploads pure noise).
 pub fn fill_gaussian<R: Rng + ?Sized>(rng: &mut R, std: f64, out: &mut [f32]) {
-    for x in out {
-        *x = (standard_normal_sample(rng) * std) as f32;
+    let mut z = [0.0f64; NORMAL_CHUNK];
+    for chunk in out.chunks_mut(NORMAL_CHUNK) {
+        let z = &mut z[..chunk.len()];
+        fill_standard_normal(rng, z);
+        for (x, &z) in chunk.iter_mut().zip(z.iter()) {
+            *x = (z * std) as f32;
+        }
     }
 }
 
@@ -162,7 +199,7 @@ pub fn gaussian_vector<R: Rng + ?Sized>(rng: &mut R, std: f64, d: usize) -> Vec<
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
 
     #[test]
     fn cdf_known_values() {
@@ -222,6 +259,21 @@ mod tests {
         let var = sum_sq / m as f64 - mean * mean;
         assert!((mean - 3.0).abs() < 0.02, "mean={mean}");
         assert!((var - 4.0).abs() < 0.06, "var={var}");
+    }
+
+    #[test]
+    fn fill_standard_normal_replays_the_scalar_sampler() {
+        for n in [0, 1, NORMAL_CHUNK - 1, NORMAL_CHUNK, NORMAL_CHUNK + 1, 25_450] {
+            let mut scalar = StdRng::seed_from_u64(n as u64);
+            let mut filled = scalar.clone();
+            let want: Vec<u64> =
+                (0..n).map(|_| standard_normal_sample(&mut scalar).to_bits()).collect();
+            let mut got = vec![0.0f64; n];
+            fill_standard_normal(&mut filled, &mut got);
+            let got: Vec<u64> = got.iter().map(|z| z.to_bits()).collect();
+            assert_eq!(got, want, "n = {n}");
+            assert_eq!(filled.next_u64(), scalar.next_u64(), "rng position differs, n = {n}");
+        }
     }
 
     #[test]
